@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bigraph"
 	"repro/internal/biplex"
 
 	"repro/internal/btree"
@@ -126,39 +127,142 @@ func naiveRightAddable(e *engine, lcur, rp, hR []int32, kL, kR int) bool {
 	return false
 }
 
+// withRightHub returns g plus one right vertex adjacent to every left
+// vertex but ids 0..miss-1, so the hub stays outside solutions that hold
+// more than k of those.
+func withRightHub(g *bigraph.Graph, miss int) *bigraph.Graph {
+	hub := int32(g.NumRight())
+	var edges [][2]int32
+	g.Edges(func(v, u int32) bool {
+		edges = append(edges, [2]int32{v, u})
+		return true
+	})
+	for v := int32(miss); v < int32(g.NumLeft()); v++ {
+		edges = append(edges, [2]int32{v, hub})
+	}
+	return bigraph.FromEdges(g.NumLeft(), g.NumRight()+1, edges)
+}
+
+// recomputedLtight returns the members of lcur \ {v} at kL misses toward
+// rp, counted from scratch: the Ltight rightAddable expects when the
+// probe is not a local solution EnumAlmostSat emitted.
+func recomputedLtight(g *bigraph.Graph, lcur, rp []int32, v int32, kL int) []int32 {
+	var out []int32
+	for _, w := range lcur {
+		if w != v && len(rp)-sortedIntersectCount(g.NeighL(w), rp) == kL {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 // TestRightAddablePigeonholeAgreesWithNaive probes the pigeonhole-
 // optimized rightAddable against the naive full scan on every emitted
-// solution with every possible added left vertex.
+// solution with every possible added left vertex, passing Ltight
+// recomputed from scratch. On the first few graphs it also probes every
+// local solution EnumAlmostSat finds there, with the Ltight EAS hands
+// across.
 func TestRightAddablePigeonholeAgreesWithNaive(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		for seed := int64(0); seed < 8; seed++ {
-			g := gen.ER(12, 12, 2, seed)
-			e := &engine{g: g, gT: g.Transpose(), opts: ITraversal(k), kL: k, kR: k, store: &btree.Tree{}}
-			checked := 0
-			_, err := Enumerate(g, ITraversal(k), func(p biplex.Pair) bool {
+	graphs := make([]*bigraph.Graph, 0, 9)
+	for seed := int64(0); seed < 8; seed++ {
+		graphs = append(graphs, gen.ER(12, 12, 2, seed))
+	}
+	// A right hub, whose fit test gallops lcur into the hub's neighbor list.
+	graphs = append(graphs, withRightHub(gen.ER(20, 8, 1, 6), 3))
+	const easFedGraphs = 4 // graphs[:4] and the hub also probe local solutions
+	for _, c := range []struct{ kL, kR int }{{1, 1}, {2, 2}, {1, 2}} {
+		for gi, g := range graphs {
+			easFed := gi < easFedGraphs || gi == len(graphs)-1
+			opts := ITraversal(c.kL)
+			opts.KLeft, opts.KRight = c.kL, c.kR
+			e := &engine{g: g, gT: g.Transpose(), opts: opts, kL: c.kL, kR: c.kR, store: &btree.Tree{}}
+			checked, fed := 0, 0
+			probe := func(p biplex.Pair, lcur, rp, ltight []int32, v int32, kind string) {
+				vMiss := len(rp) - sortedIntersectCount(g.NeighL(v), rp)
+				want := naiveRightAddable(e, lcur, rp, p.R, c.kL, c.kR)
+				if got := e.rightAddable(g, p, lcur, rp, ltight, vMiss, v, c.kL, c.kR); got != want {
+					t.Fatalf("k=%v graph %d: %s rightAddable=%v naive=%v for v=%d lcur=%v rp=%v on %v",
+						c, gi, kind, got, want, v, lcur, rp, p)
+				}
+			}
+			_, err := Enumerate(g, opts, func(p biplex.Pair) bool {
 				for v := int32(0); v < int32(g.NumLeft()); v++ {
 					if sortedContains(p.L, v) {
 						continue
 					}
 					lcur := sortedInsert(append([]int32(nil), p.L...), v)
-					vMiss := len(p.R) - sortedIntersectCount(g.NeighL(v), p.R)
-					got := e.rightAddable(g, p, lcur, p.R, vMiss, v, k, k)
-					want := naiveRightAddable(e, lcur, p.R, p.R, k, k)
-					if got != want {
-						t.Fatalf("k=%d seed=%d: rightAddable=%v naive=%v for v=%d on %v",
-							k, seed, got, want, v, p)
-					}
+					probe(p, lcur, p.R, recomputedLtight(g, lcur, p.R, v, c.kL), v, "whole-solution")
 					checked++
+					if !easFed {
+						continue
+					}
+					eachLocal(g, c.kL, c.kR, p, v, EASL2R2, func(lp, rp, ltight []int32) {
+						probe(p, sortedInsert(append([]int32(nil), lp...), v), rp, ltight, v, "EAS-fed")
+						fed++
+					})
 				}
 				return true
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if checked == 0 {
-				t.Fatal("no probes executed")
+			if checked == 0 || (easFed && fed == 0) {
+				t.Fatalf("k=%v graph %d: %d whole-solution probes, %d EAS-fed", c, gi, checked, fed)
 			}
 		}
+	}
+}
+
+// TestRightAddableAllocFree pins the right-shrinking filter's zero-
+// allocation steady state: once its engine scratch is warm, a call
+// allocates nothing.
+func TestRightAddableAllocFree(t *testing.T) {
+	g := gen.ER(12, 12, 2, 3)
+	e := &engine{g: g, gT: g.Transpose(), opts: ITraversal(1), kL: 1, kR: 1, store: &btree.Tree{}}
+	type probe struct {
+		h              biplex.Pair
+		lcur, rp, tght []int32
+		vMiss          int
+		v              int32
+	}
+	var probes []probe
+	if _, err := Enumerate(g, ITraversal(1), func(p biplex.Pair) bool {
+		for v := int32(0); v < int32(g.NumLeft()) && len(probes) < 400; v++ {
+			if sortedContains(p.L, v) {
+				continue
+			}
+			eachLocal(g, 1, 1, p, v, EASL2R2, func(lp, rp, ltight []int32) {
+				probes = append(probes, probe{
+					h:     p,
+					lcur:  sortedInsert(append([]int32(nil), lp...), v),
+					rp:    append([]int32(nil), rp...),
+					tght:  append([]int32{}, ltight...),
+					vMiss: len(rp) - sortedIntersectCount(g.NeighL(v), rp),
+					v:     v,
+				})
+			})
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(probes) == 0 {
+		t.Fatal("no probes")
+	}
+	addable := 0
+	run := func() {
+		addable = 0
+		for _, pr := range probes {
+			if e.rightAddable(g, pr.h, pr.lcur, pr.rp, pr.tght, pr.vMiss, pr.v, 1, 1) {
+				addable++
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("warmed rightAddable allocates %.1f times per %d probes", allocs, len(probes))
+	}
+	if addable == 0 || addable == len(probes) {
+		t.Fatalf("probes exercise one outcome only: %d of %d addable", addable, len(probes))
 	}
 }
 
@@ -177,10 +281,10 @@ func BenchmarkRightAddable(b *testing.B) {
 		b.Fatal(err)
 	}
 	type probe struct {
-		p    biplex.Pair
-		lcur []int32
-		vm   int
-		v    int32
+		p            biplex.Pair
+		lcur, ltight []int32
+		vm           int
+		v            int32
 	}
 	var probes []probe
 	for _, p := range sols {
@@ -190,13 +294,13 @@ func BenchmarkRightAddable(b *testing.B) {
 			}
 			lcur := sortedInsert(append([]int32(nil), p.L...), v)
 			vm := len(p.R) - sortedIntersectCount(g.NeighL(v), p.R)
-			probes = append(probes, probe{p, lcur, vm, v})
+			probes = append(probes, probe{p, lcur, recomputedLtight(g, lcur, p.R, v, 1), vm, v})
 		}
 	}
 	b.Run("Pigeonhole", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pr := probes[i%len(probes)]
-			e.rightAddable(g, pr.p, pr.lcur, pr.p.R, pr.vm, pr.v, 1, 1)
+			e.rightAddable(g, pr.p, pr.lcur, pr.p.R, pr.ltight, pr.vm, pr.v, 1, 1)
 		}
 	})
 	b.Run("NaiveScan", func(b *testing.B) {

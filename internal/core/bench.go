@@ -15,6 +15,6 @@ func EnumAlmostSatOnce(g *bigraph.Graph, L, R []int32, v int32, k int, variant E
 	n, _ := enumAlmostSat(easInput{
 		g: g, kL: k, kR: k, L: L, R: R, missL: missL, v: v,
 		variant: variant, cancel: cancel,
-	}, func(_, _ []int32) bool { return true })
+	}, func(_, _, _ []int32) bool { return true })
 	return n
 }

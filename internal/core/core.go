@@ -211,11 +211,13 @@ type engine struct {
 	// parallel driver builds one engine per worker), so plain fields
 	// suffice; each buffer's last use strictly precedes the recursion or
 	// the next iteration that overwrites it.
-	exclPool  *bitset.Pool       // recycled exclusion-set clones
-	lcurBuf   []int32            // processLocal's L' ∪ {v}
-	raLtight  []int32            // rightAddable's tight-member scratch
-	raSeen    map[int32]struct{} // rightAddable's candidate dedup
-	missLFree []map[int32]int    // expandSide's per-frame δ̄(u, L) maps
+	exclPool  *bitset.Pool    // recycled exclusion-set clones
+	lcurBuf   []int32         // processLocal's L' ∪ {v}
+	missLFree []map[int32]int // expandSide's per-frame δ̄(u, L) maps
+	// ra is rightAddable's membership scratch: bitsets in place of the
+	// sorted-slice searches and the candidate-dedup map, cleared bit by
+	// bit so a call never pays for the graph's size.
+	ra raScratch
 
 	// ar carves the extension result slices out of bump-allocated
 	// chunks. processLocal marks before extending, clones the slices to
@@ -314,7 +316,10 @@ type expandFrame struct {
 	depth    int
 	mirrored bool
 	v        int32
-	emit     easEmit
+	// vHits is |Γ(v) ∩ h.R|. Lemma 4.1 keeps all of Γ(v, h.R) in every
+	// local solution, so v misses exactly len(rp) − vHits members of rp.
+	vHits int
+	emit  easEmit
 }
 
 func (e *engine) getFrame() *expandFrame {
@@ -325,8 +330,8 @@ func (e *engine) getFrame() *expandFrame {
 		return fr
 	}
 	fr := &expandFrame{e: e}
-	fr.emit = func(lp, rp []int32) bool {
-		fr.e.processLocal(fr.g, fr.h, fr.v, lp, rp, fr.excl, fr.depth, fr.mirrored)
+	fr.emit = func(lp, rp, ltight []int32) bool {
+		fr.e.processLocal(fr.g, fr.h, fr.v, len(rp)-fr.vHits, lp, rp, ltight, fr.excl, fr.depth, fr.mirrored)
 		return !fr.e.stopped
 	}
 	return fr
@@ -486,7 +491,7 @@ func (e *engine) expandSide(g *bigraph.Graph, h biplex.Pair, excl *bitset.Set, d
 				in.minRight = thetaR
 			}
 			e.stats.EASCalls++
-			fr.v = v
+			fr.v, fr.vHits = v, degInR
 			locals, _ := enumAlmostSat(in, fr.emit)
 			e.stats.LocalSolutions += int64(locals)
 
@@ -500,8 +505,9 @@ func (e *engine) expandSide(g *bigraph.Graph, h biplex.Pair, excl *bitset.Set, d
 // processLocal takes one local solution (lp ∪ {v}, rp) of the
 // almost-satisfying graph (h.L ∪ {v}, h.R), applies the right-shrinking
 // filter, extends it to a full solution, applies exclusion pruning,
-// deduplicates and recurses.
-func (e *engine) processLocal(g *bigraph.Graph, h biplex.Pair, v int32, lp, rp []int32, excl *bitset.Set, depth int, mirrored bool) {
+// deduplicates and recurses. vMiss is v's miss count toward rp, and
+// ltight the Ltight EnumAlmostSat passed with the local solution.
+func (e *engine) processLocal(g *bigraph.Graph, h biplex.Pair, v int32, vMiss int, lp, rp, ltight []int32, excl *bitset.Set, depth int, mirrored bool) {
 	kL, kR := e.kL, e.kR
 	if mirrored {
 		kL, kR = e.kR, e.kL
@@ -511,7 +517,7 @@ func (e *engine) processLocal(g *bigraph.Graph, h biplex.Pair, v int32, lp, rp [
 	e.lcurBuf = sortedInsert(append(e.lcurBuf[:0], lp...), v)
 	lcur := e.lcurBuf
 
-	if e.opts.RightShrinking && e.rightAddable(g, h, lcur, rp, len(rp)-sortedIntersectCount(g.NeighL(v), rp) /* = |R''| misses of v */, v, kL, kR) {
+	if e.opts.RightShrinking && e.rightAddable(g, h, lcur, rp, ltight, vMiss, v, kL, kR) {
 		return // non-right-shrinking link (Algorithm 2 line 7)
 	}
 
@@ -602,115 +608,142 @@ func (e *engine) processLocal(g *bigraph.Graph, h biplex.Pair, v int32, lp, rp [
 	}
 }
 
-// rightAddable reports whether some right vertex u ∉ rp of the full graph
-// can join (lcur, rp) while preserving the k-biplex property. Vertices of
-// h.R \ rp need no test — the local solution is maximal within the
-// almost-satisfying graph — but testing them too is harmless; only
-// vertices outside h.R are scanned here plus none of rp.
-func (e *engine) rightAddable(g *bigraph.Graph, h biplex.Pair, lcur, rp []int32, vMiss int, v int32, kL, kR int) bool {
-	// Ltight: members of lcur whose misses toward rp are already kL; an
-	// addable u must connect all of them. rightAddable never recurses,
-	// so the engine-level scratch cannot be aliased by a deeper frame.
-	ltight := e.raLtight[:0]
-	defer func() { e.raLtight = ltight[:0] }()
-	for _, w := range lcur {
-		var miss int
-		if w == v {
-			miss = vMiss
-		} else {
-			miss = len(rp) - sortedIntersectCount(g.NeighL(w), rp)
-		}
-		if miss == kL {
-			ltight = append(ltight, w)
-		}
-	}
-
-	inRp := func(u int32) bool { return sortedContains(rp, u) }
-	inHR := func(u int32) bool { return sortedContains(h.R, u) }
-
-	check := func(u int32) bool {
-		// u's own constraint.
-		nu := g.NeighR(u)
-		if len(lcur)-sortedIntersectCount(nu, lcur) > kR {
-			return false
-		}
-		// Members at k misses must all connect u.
-		for _, w := range ltight {
-			if !sortedContains(nu, w) {
-				return false
-			}
-		}
-		// Non-tight members missing u gain one miss, still ≤ k; only the
-		// tight ones could overflow, and they were just checked.
-		return true
-	}
-
-	if len(lcur) <= kR {
-		// Any right vertex satisfies its own constraint; addability is
-		// governed by the tight members (or by nothing at all).
-		if len(ltight) == 0 {
-			// Any vertex outside rp (and outside h.R, which is already
-			// maximal-checked) is addable if one exists.
-			if g.NumRight() > len(h.R) {
-				return true
-			}
-			return false
-		}
-		for _, u := range g.NeighL(ltight[0]) {
-			if !inRp(u) && !inHR(u) && check(u) {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Pigeonhole: an addable u misses at most kR members of lcur, so it is
-	// adjacent to at least one of ANY kR+1 members. Take the kR+1 members
-	// with the smallest degrees; the union of their neighbor lists is the
-	// complete candidate pool, typically tiny.
-	pool := smallestDegreeMembers(g, lcur, kR+1)
-	if e.raSeen == nil {
-		e.raSeen = make(map[int32]struct{})
-	} else {
-		clear(e.raSeen)
-	}
-	seen := e.raSeen
-	for _, w := range pool {
-		for _, u := range g.NeighL(w) {
-			if inRp(u) || inHR(u) {
-				continue
-			}
-			if _, dup := seen[u]; dup {
-				continue
-			}
-			seen[u] = struct{}{}
-			if check(u) {
-				return true
-			}
-		}
-	}
-	return false
+// raScratch is rightAddable's engine-owned scratch. Each bitset spans
+// max(|L|, |R|) ids of the engine's graph, so one set serves either
+// orientation. The sets are cleared sparsely — every call removes
+// exactly the bits it set, from the slices it set them from (seen keeps
+// its own touched list) — so a call costs O(|lcur| + |h.R| + candidates)
+// and never an O(n/64) clear.
+type raScratch struct {
+	lcur, tight *bitset.Set // left ids: L' ∪ {v}, and its members at kL misses toward R'
+	hr, seen    *bitset.Set // right ids: h.R (⊇ R'), and candidates already tested
+	touched     []int32     // seen's set bits
+	pick        degreePick  // pigeonhole pool
 }
 
-// smallestDegreeMembers returns up to n members of lcur with the smallest
-// left degrees (selection by repeated scan; n is k+1, a small constant).
-func smallestDegreeMembers(g *bigraph.Graph, lcur []int32, n int) []int32 {
-	if n >= len(lcur) {
-		return lcur
+// rightAddable reports whether some right vertex u ∉ rp of the full graph
+// can join (lcur, rp) while preserving the k-biplex property. Under
+// right-shrinking rp ⊆ h.R, and vertices of h.R \ rp need no test — the
+// local solution is maximal within the almost-satisfying graph — so only
+// vertices outside h.R are scanned.
+//
+// ltight holds the members of lcur \ {v} at kL misses toward rp, which
+// EnumAlmostSat hands across with the local solution; v joins it when
+// vMiss == kL. rightAddable never recurses, so the engine-level scratch
+// cannot be aliased by a deeper frame.
+func (e *engine) rightAddable(g *bigraph.Graph, h biplex.Pair, lcur, rp, ltight []int32, vMiss int, v int32, kL, kR int) bool {
+	sc := &e.ra
+	if sc.lcur == nil {
+		n := max(e.g.NumLeft(), e.g.NumRight())
+		sc.lcur, sc.tight, sc.hr, sc.seen = bitset.New(n), bitset.New(n), bitset.New(n), bitset.New(n)
 	}
-	picked := make([]int32, 0, n)
-	used := make([]bool, len(lcur))
-	for len(picked) < n {
-		best, bestDeg := -1, int(^uint(0)>>1)
-		for i, w := range lcur {
-			if !used[i] && g.DegL(w) < bestDeg {
-				best, bestDeg = i, g.DegL(w)
+	vTight := vMiss == kL
+	nTight := len(ltight)
+	if vTight {
+		nTight++
+	}
+	if nTight == 0 && len(lcur) <= kR {
+		// Every right vertex satisfies its own constraint and no member
+		// constrains it: any vertex outside h.R is addable.
+		return g.NumRight() > len(h.R)
+	}
+
+	for _, w := range lcur {
+		sc.lcur.Add(int(w))
+	}
+	for _, w := range ltight {
+		sc.tight.Add(int(w))
+	}
+	if vTight {
+		sc.tight.Add(int(v))
+	}
+	for _, u := range h.R {
+		sc.hr.Add(int(u))
+	}
+
+	found := false
+	if nTight > 0 {
+		// An addable u connects every tight member, so the neighbor list
+		// of any one of them — the shortest — is a complete candidate
+		// pool, with no duplicates to skip.
+		first := v
+		if !vTight {
+			first = ltight[0]
+		}
+		for _, w := range ltight {
+			if g.DegL(w) < g.DegL(first) {
+				first = w
 			}
 		}
-		used[best] = true
-		picked = append(picked, lcur[best])
+		for _, u := range g.NeighL(first) {
+			if !sc.hr.Contains(int(u)) && sc.fits(g.NeighR(u), lcur, nTight, kR) {
+				found = true
+				break
+			}
+		}
+	} else {
+		// Pigeonhole: an addable u misses at most kR members of lcur, so it
+		// is adjacent to at least one of ANY kR+1 members; the union of
+		// their neighbor lists is the complete candidate pool.
+		touched := sc.touched[:0]
+	scan:
+		for _, w := range sc.pick.smallest(g, lcur, kR+1, true) {
+			for _, u := range g.NeighL(w) {
+				if sc.hr.Contains(int(u)) || sc.seen.Contains(int(u)) {
+					continue
+				}
+				sc.seen.Add(int(u))
+				touched = append(touched, u)
+				if sc.fits(g.NeighR(u), lcur, nTight, kR) {
+					found = true
+					break scan
+				}
+			}
+		}
+		for _, u := range touched {
+			sc.seen.Remove(int(u))
+		}
+		sc.touched = touched
 	}
-	return picked
+
+	for _, w := range lcur {
+		sc.lcur.Remove(int(w))
+		sc.tight.Remove(int(w))
+	}
+	for _, u := range h.R {
+		sc.hr.Remove(int(u))
+	}
+	return found
+}
+
+// fits reports whether a right vertex with neighbor list nu can join
+// lcur: it misses at most kR members (its own constraint) and connects
+// every one of the nTight tight members (theirs — a non-tight member
+// missing u gains one miss and stays within kL). The sets must hold
+// lcur and the tight members. One pass over the shorter side counts both.
+func (sc *raScratch) fits(nu, lcur []int32, nTight, kR int) bool {
+	hits, tight := 0, 0
+	if len(nu) > 8*len(lcur) {
+		// A hub: gallop lcur's members into its neighbor list instead.
+		for _, w := range lcur {
+			if sortedContains(nu, w) {
+				hits++
+				if sc.tight.Contains(int(w)) {
+					tight++
+				}
+			}
+		}
+	} else {
+		for _, w := range nu {
+			if sc.lcur.Contains(int(w)) {
+				hits++
+				if sc.tight.Contains(int(w)) {
+					tight++
+				}
+			}
+		}
+	}
+	return len(lcur)-hits <= kR && tight == nTight
 }
 
 // SolutionGraphLinks runs the framework with link counting and returns the

@@ -318,7 +318,8 @@ func TestSmallestDegreeMembers(t *testing.T) {
 		{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {2, 1},
 	})
 	lcur := []int32{0, 1, 2, 3}
-	got := smallestDegreeMembers(g, lcur, 2)
+	var pick degreePick
+	got := pick.smallest(g, lcur, 2, true)
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
@@ -331,8 +332,13 @@ func TestSmallestDegreeMembers(t *testing.T) {
 		t.Fatalf("smallest-degree pick = %v, want {1,3}", got)
 	}
 	// n >= len returns the input unchanged.
-	if out := smallestDegreeMembers(g, lcur, 9); len(out) != 4 {
+	if out := pick.smallest(g, lcur, 9, true); len(out) != 4 {
 		t.Fatalf("full pick = %v", out)
+	}
+	// On the right side the degrees are u0=3, u1=2, u2=1.
+	got = pick.smallest(g, []int32{0, 1, 2}, 1, false)
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("right-side pick = %v, want [2]", got)
 	}
 }
 

@@ -90,8 +90,11 @@ func (s *easRunStack) get() *easRun {
 func (s *easRunStack) put(e *easRun) { s.free = append(s.free, e) }
 
 // easEmit receives each local solution: Lp ⊆ L (sorted, v NOT included)
-// and Rp ⊆ R (sorted). The slices are only valid during the call.
-type easEmit func(Lp, Rp []int32) bool
+// and Rp ⊆ R (sorted). Ltight ⊆ Lp holds, ascending, the members at kL
+// misses toward Rp — the set the right-shrinking filter needs, which the
+// refined variants compute anyway while checking maximality. The slices
+// are only valid during the call.
+type easEmit func(Lp, Rp, Ltight []int32) bool
 
 // enumAlmostSat enumerates every local solution of the almost-satisfying
 // graph (L ∪ {v}, R): induced subgraphs (Lp ∪ {v}, Rp) that are k-biplexes
@@ -463,7 +466,8 @@ func (e *easRun) tryCandidate(rsel []int32) {
 	}
 
 	// Ltight: members of L' already at k misses w.r.t. R'; any addable
-	// right vertex must connect all of them.
+	// right vertex must connect all of them. The emit below hands it
+	// across to the right-shrinking filter.
 	ltight := e.ltight[:0]
 	for i, vp := range e.L {
 		if len(e.lsel) > 0 && sortedContains32(e.lsel, vp) {
@@ -520,7 +524,7 @@ func (e *easRun) tryCandidate(rsel []int32) {
 		}
 	}
 	e.count++
-	if !e.emit(lp, e.rp) {
+	if !e.emit(lp, e.rp, e.ltight) {
 		e.stopped = true
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bigraph"
@@ -40,6 +41,78 @@ func referenceLocalSolutions(g *bigraph.Graph, L, R []int32, v int32, k int) []b
 	return out
 }
 
+// eachLocal runs one EnumAlmostSat invocation on (h.L ∪ {v}, h.R) and
+// hands fn every local solution with the Ltight the variant passes
+// across. The slices are valid only during fn.
+func eachLocal(g *bigraph.Graph, kL, kR int, h biplex.Pair, v int32, variant EASVariant, fn func(lp, rp, ltight []int32)) {
+	missL := make(map[int32]int, len(h.R))
+	for _, u := range h.R {
+		missL[u] = len(h.L) - sortedIntersectCount(g.NeighR(u), h.L)
+	}
+	enumAlmostSat(easInput{g: g, kL: kL, kR: kR, L: h.L, R: h.R, missL: missL, v: v, variant: variant},
+		func(lp, rp, ltight []int32) bool {
+			fn(lp, rp, ltight)
+			return true
+		})
+}
+
+// TestEASLtightMatchesRecomputed checks the hand-off the right-shrinking
+// filter relies on: for every variant, the Ltight passed with a
+// local solution (Lp, Rp) is exactly {w ∈ Lp : δ̄(w, Rp) = kL},
+// ascending, recomputed here from scratch.
+func TestEASLtightMatchesRecomputed(t *testing.T) {
+	type cfg struct {
+		kL, kR   int
+		variants []EASVariant
+	}
+	refined := []EASVariant{EASL2R2, EASL1R1, EASL1R2, EASL2R1}
+	cfgs := []cfg{
+		{1, 1, append(refined, EASInflation)},
+		{2, 2, append(refined, EASInflation)},
+		{3, 3, refined},
+		{1, 2, refined},
+		{2, 1, refined},
+	}
+	for _, c := range cfgs {
+		for seed := int64(0); seed < 5; seed++ {
+			g := gen.ER(10, 10, 2, seed)
+			opts := ITraversal(c.kL)
+			opts.KLeft, opts.KRight = c.kL, c.kR
+			opts.MaxResults = 25
+			sols, _, err := Collect(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locals := 0
+			for _, h := range sols {
+				for v := int32(0); v < int32(g.NumLeft()); v++ {
+					if sortedContains(h.L, v) {
+						continue
+					}
+					for _, variant := range c.variants {
+						eachLocal(g, c.kL, c.kR, h, v, variant, func(lp, rp, ltight []int32) {
+							locals++
+							var want []int32
+							for _, w := range lp {
+								if len(rp)-sortedIntersectCount(g.NeighL(w), rp) == c.kL {
+									want = append(want, w)
+								}
+							}
+							if !slices.Equal(ltight, want) {
+								t.Fatalf("k=(%d,%d) seed=%d %v: Ltight %v, recomputed %v (Lp=%v Rp=%v v=%d)",
+									c.kL, c.kR, seed, variant, ltight, want, lp, rp, v)
+							}
+						})
+					}
+				}
+			}
+			if locals == 0 {
+				t.Fatalf("k=(%d,%d) seed=%d: no local solutions", c.kL, c.kR, seed)
+			}
+		}
+	}
+}
+
 // collectEAS runs one EnumAlmostSat invocation and gathers its output.
 func collectEAS(g *bigraph.Graph, L, R []int32, v int32, k int, variant EASVariant) []biplex.Pair {
 	missL := make(map[int32]int, len(R))
@@ -48,7 +121,7 @@ func collectEAS(g *bigraph.Graph, L, R []int32, v int32, k int, variant EASVaria
 	}
 	var out []biplex.Pair
 	enumAlmostSat(easInput{g: g, kL: k, kR: k, L: L, R: R, missL: missL, v: v, variant: variant},
-		func(lp, rp []int32) bool {
+		func(lp, rp, _ []int32) bool {
 			out = append(out, biplex.Pair{
 				L: append([]int32(nil), lp...),
 				R: append([]int32(nil), rp...),
@@ -156,7 +229,7 @@ func TestEASMinRight(t *testing.T) {
 		var got []biplex.Pair
 		enumAlmostSat(easInput{g: g, kL: k, kR: k, L: h.L, R: h.R, missL: missL, v: v,
 			variant: EASL2R2, minRight: minRight},
-			func(lp, rp []int32) bool {
+			func(lp, rp, _ []int32) bool {
 				got = append(got, biplex.Pair{L: append([]int32(nil), lp...), R: append([]int32(nil), rp...)})
 				return true
 			})
@@ -188,7 +261,7 @@ func TestEASEarlyStop(t *testing.T) {
 			}
 			n := 0
 			_, done := enumAlmostSat(easInput{g: g, kL: 1, kR: 1, L: h.L, R: h.R, missL: missL, v: v, variant: EASL2R2},
-				func(lp, rp []int32) bool {
+				func(lp, rp, _ []int32) bool {
 					n++
 					return false
 				})

@@ -20,6 +20,7 @@ func enumAlmostSatInflation(in easInput, emit easEmit) (int, bool) {
 
 	count := 0
 	ok := true
+	var ltight []int32
 	kplex.EnumerateMaximalCancel(ig, in.kL+1, in.cancel, func(members []int32) bool {
 		containsV := false
 		var lp, rp []int32
@@ -39,8 +40,16 @@ func enumAlmostSatInflation(in easInput, emit easEmit) (int, bool) {
 		if in.minRight > 0 && len(rp) < in.minRight {
 			return true
 		}
+		// Inflation keeps no miss counts, so Ltight (members of lp at kL
+		// misses toward rp) is counted here for the emit.
+		ltight = ltight[:0]
+		for _, w := range lp {
+			if len(rp)-sortedIntersectCount(in.g.NeighL(w), rp) == in.kL {
+				ltight = append(ltight, w)
+			}
+		}
 		count++
-		if !emit(lp, rp) {
+		if !emit(lp, rp, ltight) {
 			ok = false
 			return false
 		}

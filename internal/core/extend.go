@@ -19,8 +19,7 @@ type extendScratch struct {
 	added    []int32
 	cands    []int32
 	all      []int32
-	pool     []int32
-	degs     []int
+	pick     degreePick
 	missBase map[int32]int
 	delta    map[int32]int
 }
@@ -178,41 +177,10 @@ func leftCandidates(g *bigraph.Graph, L, R []int32, kL int, sc *extendScratch) [
 	}
 	// Pigeonhole: an addable w misses at most kL members of R, so it is
 	// adjacent to at least one of ANY kL+1 members. The union of the
-	// neighbor lists of the kL+1 smallest-degree members is therefore a
-	// complete candidate pool (a superset of the addable vertices; the
-	// caller verifies each candidate exactly).
-	// Any kL+1 members form a valid pool; scan a bounded prefix for
-	// small-degree picks so the selection itself stays O(1) in |R|.
-	pick := kL + 1
-	var pool []int32
-	if pick >= len(R) {
-		pool = R
-	} else {
-		scan := len(R)
-		if scan > 64 {
-			scan = 64
-		}
-		pool = sc.pool[:0]
-		degs := sc.degs[:0]
-		for _, u := range R[:scan] {
-			d := g.DegR(u)
-			if len(pool) < pick {
-				pool = append(pool, u)
-				degs = append(degs, d)
-			} else {
-				maxI := 0
-				for i := 1; i < len(degs); i++ {
-					if degs[i] > degs[maxI] {
-						maxI = i
-					}
-				}
-				if d < degs[maxI] {
-					pool[maxI], degs[maxI] = u, d
-				}
-			}
-		}
-		sc.pool, sc.degs = pool, degs
-	}
+	// neighbor lists of kL+1 small-degree members is therefore a complete
+	// candidate pool (a superset of the addable vertices; the caller
+	// verifies each candidate exactly).
+	pool := sc.pick.smallest(g, R, kL+1, false)
 	all := sc.all[:0]
 	for _, u := range pool {
 		all = append(all, g.NeighR(u)...)
@@ -231,6 +199,53 @@ func leftCandidates(g *bigraph.Graph, L, R []int32, kL int, sc *extendScratch) [
 		}
 	}
 	return cands
+}
+
+// degreePick selects pigeonhole pools in reusable scratch. Both
+// pigeonhole filters — leftCandidates over R and rightAddable over L' ∪
+// {v} — need n members of a vertex set whose neighbor lists are short,
+// and both accept any n members as a correct pool: small degrees only
+// make the pool cheaper to scan.
+type degreePick struct {
+	pool []int32
+	degs []int
+}
+
+// smallest returns n members of ids with small degrees (DegL when left,
+// DegR otherwise), or ids itself when n ≥ len(ids). Only a bounded
+// prefix of ids is scanned, so the selection's cost does not grow with
+// |ids|; within it, the n smallest degrees win. The result aliases p or
+// ids and is valid until the next call.
+func (p *degreePick) smallest(g *bigraph.Graph, ids []int32, n int, left bool) []int32 {
+	if n >= len(ids) {
+		return ids
+	}
+	scan := min(len(ids), 64)
+	pool, degs := p.pool[:0], p.degs[:0]
+	for _, u := range ids[:scan] {
+		var d int
+		if left {
+			d = g.DegL(u)
+		} else {
+			d = g.DegR(u)
+		}
+		if len(pool) < n {
+			pool = append(pool, u)
+			degs = append(degs, d)
+			continue
+		}
+		maxI := 0
+		for i := 1; i < len(degs); i++ {
+			if degs[i] > degs[maxI] {
+				maxI = i
+			}
+		}
+		if d < degs[maxI] {
+			pool[maxI], degs[maxI] = u, d
+		}
+	}
+	p.pool, p.degs = pool, degs
+	return pool
 }
 
 // extendBothSides grows the (kL, kR)-biplex (L, R) to a maximal one by
